@@ -14,8 +14,11 @@ use crate::writes::write_region;
 use hgl_core::graph::{HoareGraph, VertexId};
 use hgl_elf::Binary;
 use hgl_expr::{Expr, Sym};
-use hgl_solver::{Ctx, Layout, Region, RegionRel};
+use hgl_solver::{Ctx, Region, RegionRel};
 use hgl_x86::{decode, Instr, Mnemonic, Reg};
+
+/// The text/data layout [`lint_ret_slot`] resolves provenance against.
+pub use hgl_solver::Layout;
 
 /// Decoded instructions at every vertex address of `graph`, in vertex
 /// order. Addresses that do not decode are skipped.

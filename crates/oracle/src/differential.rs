@@ -19,7 +19,7 @@
 //!   budget),
 //! * every final register (minus `r10`/`r11` under the guard ABI),
 //! * the arithmetic flags (identity mode only — guards clobber them),
-//! * the final memory write-delta against the loaded image (minus the
+//! * the final memory write-delta against the entry state (minus the
 //!   shadow section under the guard ABI).
 //!
 //! A benign trace that traps in a guard is a divergence: guards must
@@ -97,8 +97,11 @@ pub struct RunSummary {
     pub regs: [u64; 16],
     /// Final flags, packed.
     pub flags: (bool, bool, bool, bool, bool, bool),
-    /// Final memory delta against the pre-run state (address →
-    /// value), shadow section excluded.
+    /// Final memory delta against the state right after setup
+    /// (address → value): every byte materialised by the end of the
+    /// run — loaded, written, or zero-filled by a read of unmapped
+    /// memory — whose value differs from its value after setup, or
+    /// that was not materialised then. Shadow section excluded.
     pub writes: BTreeMap<u64, u8>,
     /// Raw (pre-normalisation) step count.
     pub raw_steps: usize,
@@ -118,7 +121,8 @@ pub fn run_raw(bin: &Binary, es: &EntryState, out: Option<&RewriteOutput>, max_s
     for (r, v) in [Reg::Rax, Reg::Rcx, Reg::Rdx, Reg::Rsi, Reg::R8, Reg::R9].into_iter().zip(es.scratch) {
         m.set_reg(RegRef::full(r), v);
     }
-    let baseline: BTreeMap<u64, u8> = m.mem.entries().collect();
+    // The setup writes (the sentinel push) are part of the baseline.
+    let baseline: BTreeMap<u64, u8> = m.mem.delta().collect();
 
     let mut rips = Vec::new();
     let mut raw_steps = 0usize;
@@ -174,13 +178,16 @@ pub fn run_raw(bin: &Binary, es: &EntryState, out: Option<&RewriteOutput>, max_s
         }
     };
 
+    // A byte outside both deltas holds its loaded value now and held
+    // it at the baseline, so only the union of the two can have changed.
+    let touched: BTreeSet<u64> =
+        baseline.keys().copied().chain(m.mem.delta().map(|(a, _)| a)).collect();
     let mut writes: BTreeMap<u64, u8> = BTreeMap::new();
-    for (a, v) in m.mem.entries() {
-        if let Some(o) = out {
-            if o.shadow.map(|s| s.in_shadow(a)).unwrap_or(false) {
-                continue;
-            }
+    for a in touched {
+        if out.and_then(|o| o.shadow).is_some_and(|s| s.in_shadow(a)) {
+            continue;
         }
+        let v = m.mem.read_u8(a);
         if baseline.get(&a) != Some(&v) {
             writes.insert(a, v);
         }

@@ -14,11 +14,13 @@
 //!    reproduce the original image exactly. Nothing moves, so jump
 //!    tables and RIP-relative data stay valid by construction.
 //! 2. **Instrumentation passes** ([`pass`]) — transformations behind
-//!    the [`RewritePass`] trait. The headline pass ([`shadow`])
-//!    plants a shadow-stack guard at every `ret` of every function
-//!    whose return-address integrity the `crates/analysis` lints could
-//!    not prove (assumption-backed separations, unbounded stack
-//!    depth), via address-preserving detour patching: a 5-byte
+//!    the [`RewritePass`] trait. Each pass runs the lints it reads
+//!    itself, so an identity rewrite runs no analysis at all. The
+//!    headline pass ([`shadow`]) plants a shadow-stack guard at every
+//!    `ret` of every function whose return-address integrity the
+//!    `crates/analysis` ret-slot and stack-depth lints could not prove
+//!    (assumption-backed separations, unbounded stack depth), via
+//!    address-preserving detour patching: a 5-byte
 //!    `jmp rel32` at the function entry and before each `ret` detours
 //!    through out-of-line stubs that maintain a shadow return-address
 //!    ring and `hlt` on mismatch.
@@ -210,10 +212,7 @@ pub fn rewrite(
         shadow: None,
         guards: Vec::new(),
     };
-    // Lints decide where instrumentation is required; run them once
-    // and share the report across passes.
-    let report = hgl_analysis::analyze(binary, lift, &hgl_analysis::AnalysisConfig::default());
-    let ctx = PassContext { binary, lift, report: &report };
+    let ctx = PassContext { binary, lift };
     for p in passes {
         p.apply(&ctx, &mut out)?;
     }

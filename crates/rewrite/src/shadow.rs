@@ -48,13 +48,15 @@
 
 use crate::pass::{PassContext, RewritePass};
 use crate::{GuardSite, RewriteError, RewriteOutput, ShadowLayout};
-use hgl_analysis::{Rule, Severity};
+use hgl_analysis::lints::{lint_ret_slot, lint_stack_depth, Layout};
+use hgl_analysis::{AnalysisConfig, Diag, Severity};
 use hgl_asm::Asm;
 use hgl_core::graph::VertexId;
 use hgl_core::lift::FnLift;
 use hgl_elf::{Binary, Segment, SegmentFlags};
 use hgl_x86::{decode, Instr, MemOperand, Mnemonic, Operand, Reg, Width};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Capacity of the shadow ring, in return-address slots. Deeper call
 /// chains wrap around; 256 comfortably covers the corpus ABI's call
@@ -272,27 +274,34 @@ fn jmp_abs(target: u64) -> Instr {
     ins(Mnemonic::Jmp, vec![Operand::Imm(target as i64)])
 }
 
+/// Does `f` carry a `ret-slot-overwrite` or `stack-depth` warning or
+/// error? These two lints, with `analyze`'s default limits, are the
+/// only analysis the pass reads.
+fn unproven(binary: &Binary, f: &FnLift, layout: &Arc<Layout>) -> bool {
+    let cfg = AnalysisConfig::default();
+    let flagged = |d: &Diag| matches!(d.severity, Severity::Warning | Severity::Error);
+    lint_ret_slot(binary, f.entry, &f.graph, layout).iter().any(flagged)
+        || lint_stack_depth(f.entry, &f.graph, cfg.stack_depth_limit, cfg.max_iterations)
+            .diags
+            .iter()
+            .any(flagged)
+}
+
 impl RewritePass for ShadowStackPass {
     fn name(&self) -> &'static str {
         "shadow-stack"
     }
 
     fn apply(&self, ctx: &PassContext<'_>, out: &mut RewriteOutput) -> Result<(), RewriteError> {
+        let layout =
+            Arc::new(Layout { text: ctx.binary.text_ranges(), data: ctx.binary.data_ranges() });
         // 1. Which functions need guards: lifted functions with a
         //    ret-slot or stack-depth diagnostic of any severity.
-        let mut unproven: BTreeSet<u64> = BTreeSet::new();
-        for d in &ctx.report.diags {
-            if matches!(d.rule, Rule::RetSlotOverwrite | Rule::StackDepth)
-                && matches!(d.severity, Severity::Warning | Severity::Error)
-            {
-                unproven.insert(d.function);
-            }
-        }
         let targets: Vec<&FnLift> = ctx
             .lift
             .functions
             .values()
-            .filter(|f| f.is_lifted() && unproven.contains(&f.entry))
+            .filter(|f| f.is_lifted() && unproven(ctx.binary, f, &layout))
             .collect();
         if targets.is_empty() {
             return Ok(());
