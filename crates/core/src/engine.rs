@@ -1,17 +1,20 @@
-//! The parallel whole-binary lifting engine and the [`Lifter`] session
-//! API.
+//! The whole-binary lifting engine and the [`Lifter`] session API.
 //!
 //! A [`Lifter`] is one lifting *session* over one binary: it owns the
 //! shared solver-query memo table ([`QueryCache`]) and the phase-level
-//! [`Metrics`] sink, and exposes two drivers —
+//! [`Metrics`] sink. Both entry points run the same engine and differ
+//! only in the roots they seed it with —
 //!
-//! - [`Lifter::lift_entry`]: the legacy single-entry driver (the
-//!   "Binaries" / "Library functions" modes of Table 1), exploring the
-//!   call closure of one address sequentially;
-//! - [`Lifter::lift_all`]: the whole-binary engine, which discovers
-//!   every function entry (the ELF entry point, defined function
-//!   symbols, and the call-target closure) and lifts them on a
-//!   work-stealing worker pool.
+//! - [`Lifter::lift_entry`]: one root (the "Binaries" / "Library
+//!   functions" modes of Table 1), lifting the call closure of one
+//!   address on the calling thread;
+//! - [`Lifter::lift_all`]: every discovered function entry (the ELF
+//!   entry point, defined function symbols, and the call-target
+//!   closure), lifted on a work-stealing worker pool.
+//!
+//! Because a function's Hoare Graph does not depend on which roots
+//! reached it (see below), every function in `lift_entry(a)` is equal
+//! to the same function in `lift_all()`; `tests/engine.rs` pins this.
 //!
 //! # Determinism
 //!
@@ -39,8 +42,8 @@ use crate::budget::BudgetMeter;
 use crate::explore::{ExploreCx, FnExploration};
 use crate::fingerprint::Fingerprint;
 use crate::lift::{
-    assemble, concurrency_reject, isolated, lift_bytes_impl, lift_from, panic_message,
-    reject_of_exhaustion, FnLift, LiftConfig, LiftResult,
+    assemble, concurrency_reject, isolated, lift_bytes_impl, panic_message, reject_of_exhaustion,
+    FnLift, LiftConfig, LiftResult,
 };
 use crate::metrics::{Metrics, MetricsSnapshot, Phase};
 use crate::store_api::ArtifactStore;
@@ -219,21 +222,16 @@ impl<'b> Lifter<'b> {
         lift_bytes_impl(bytes, config)
     }
 
-    /// Lift the call closure of one entry address with the sequential
-    /// driver, sharing this session's solver cache and metrics.
+    /// Lift the call closure of one entry address: the engine seeded
+    /// with that single root, sharing this session's solver cache and
+    /// metrics. It runs on the calling thread whatever
+    /// [`Lifter::workers`] says: a closure is a handful of small
+    /// functions, and spawning a pool per round would cost more than
+    /// the round's work.
     pub fn lift_entry(&self, entry: u64) -> LiftResult {
         let fp = Fingerprint::of(&self.config);
         self.cache.bind_fingerprint(cache_scope(&fp, self.binary));
-        let result = isolated("lift", || {
-            lift_from(
-                self.binary,
-                entry,
-                &self.config,
-                self.deadline,
-                Some(&self.cache),
-                Some(&self.metrics),
-            )
-        });
+        let result = isolated("lift", || self.run_engine(&[entry], BTreeMap::new(), 1));
         self.account(&result);
         result
     }
@@ -244,7 +242,7 @@ impl<'b> Lifter<'b> {
     /// Entry discovery seeds the ELF entry point plus every defined
     /// function symbol inside an executable segment; internal
     /// call targets are then added transitively as exploration finds
-    /// them, exactly as in the single-entry driver.
+    /// them, exactly as in [`Lifter::lift_entry`].
     /// With a store attached (see [`Lifter::with_store`]), `lift_all`
     /// runs incrementally: confirmed cached artifacts are merged into
     /// the result without re-exploration, and only functions whose
@@ -259,7 +257,8 @@ impl<'b> Lifter<'b> {
             None => BTreeMap::new(),
         };
         let cached_keys: BTreeSet<u64> = cached.keys().copied().collect();
-        let result = isolated("engine", || self.run_engine(&roots, cached));
+        let result =
+            isolated("engine", || self.run_engine(&roots, cached, self.resolved_workers()));
         if let Some(store) = self.store {
             // Persist fresh artifacts — but only from a run whose
             // verdicts are intrinsic: a global budget trip leaves
@@ -363,7 +362,14 @@ impl<'b> Lifter<'b> {
     /// is created for them, callees resolving to them are not
     /// materialised, and their proven returns are pre-seeded so callers
     /// wake up exactly as if the callee had been explored this run.
-    fn run_engine(&self, roots: &[u64], cached: BTreeMap<u64, FnLift>) -> LiftResult {
+    /// Rounds run on a pool of `workers` threads (1 = the calling
+    /// thread).
+    fn run_engine(
+        &self,
+        roots: &[u64],
+        cached: BTreeMap<u64, FnLift>,
+        workers: usize,
+    ) -> LiftResult {
         let start = Instant::now();
         let mut result = LiftResult::default();
         if let Some(reject) = concurrency_reject(self.binary) {
@@ -375,12 +381,11 @@ impl<'b> Lifter<'b> {
         let layout =
             Arc::new(Layout { text: self.binary.text_ranges(), data: self.binary.data_ranges() });
         let meter = BudgetMeter::start_with_deadline(&self.config.budget, self.deadline);
-        let workers = self.resolved_workers();
 
         let mut slots: BTreeMap<u64, FnSlot> = roots
             .iter()
             .filter(|a| !cached.contains_key(a))
-            .map(|&a| (a, FnSlot { e: FnExploration::new(a), fresh: 0, internal_error: None }))
+            .map(|&a| (a, FnSlot::new(a)))
             .collect();
         let mut returns_propagated: Vec<u64> =
             cached.values().filter(|f| f.returns).map(|f| f.entry).collect();
@@ -420,9 +425,7 @@ impl<'b> Lifter<'b> {
             }
             if !new_callees.is_empty() {
                 for c in new_callees {
-                    slots
-                        .entry(c)
-                        .or_insert_with(|| FnSlot { e: FnExploration::new(c), fresh: 0, internal_error: None });
+                    slots.entry(c).or_insert_with(|| FnSlot::new(c));
                 }
                 continue;
             }
@@ -488,8 +491,8 @@ impl<'b> Lifter<'b> {
             limits: &self.config.limits,
             budget: &self.config.budget,
             meter,
-            cache: Some(&self.cache),
-            metrics: Some(&self.metrics),
+            cache: &self.cache,
+            metrics: &self.metrics,
         };
         let run_one = |s: &mut FnSlot| {
             let FnSlot { e, fresh, internal_error } = s;
@@ -582,32 +585,9 @@ impl<'b> Lifter<'b> {
         resolver: &dyn crate::refine::IndirectResolver,
         max_rounds: usize,
     ) -> crate::refine::RefinedLift {
-        let mut hints = self.config.step.indirect_hints.clone();
-        let mut result = self.lift_entry(entry);
-        let mut rounds = 1usize;
-        let mut converged = false;
-        let mut poisoned = BTreeSet::new();
-        loop {
-            match Lifter::refine_step(self.binary, resolver, &result, &hints, &mut poisoned) {
-                None => {
-                    converged = true;
-                    break;
-                }
-                Some(next) => {
-                    if rounds >= max_rounds {
-                        // `next` stays uncommitted: `result` was
-                        // lifted under `hints`, and that is what we
-                        // report (and leave in the config).
-                        break;
-                    }
-                    hints = next;
-                    self.config.step.indirect_hints = hints.clone();
-                    result = self.lift_entry(entry);
-                    rounds += 1;
-                }
-            }
-        }
-        crate::refine::RefinedLift { result, rounds, converged, hints, demoted: poisoned }
+        let (result, rounds, converged, hints, demoted) =
+            self.refine_fixpoint(resolver, max_rounds, |l| l.lift_entry(entry), |r| r);
+        crate::refine::RefinedLift { result, rounds, converged, hints, demoted }
     }
 
     /// [`Lifter::lift_all`] under the same refinement fixpoint as
@@ -620,37 +600,45 @@ impl<'b> Lifter<'b> {
         resolver: &dyn crate::refine::IndirectResolver,
         max_rounds: usize,
     ) -> (BinaryLiftReport, crate::refine::RefinedLift) {
+        let (report, rounds, converged, hints, demoted) =
+            self.refine_fixpoint(resolver, max_rounds, Lifter::lift_all, |r| &r.result);
+        let result = report.result.clone();
+        (report, crate::refine::RefinedLift { result, rounds, converged, hints, demoted })
+    }
+
+    /// The fixpoint behind both refined lifts: `lift` runs one round
+    /// and `result_of` reads its per-function results. Returns the last
+    /// round's output, the number of rounds, whether a fixpoint was
+    /// reached, the hint set that output was lifted under, and the
+    /// demoted (poisoned) jumps.
+    fn refine_fixpoint<T>(
+        &mut self,
+        resolver: &dyn crate::refine::IndirectResolver,
+        max_rounds: usize,
+        lift: impl Fn(&Lifter<'b>) -> T,
+        result_of: impl Fn(&T) -> &LiftResult,
+    ) -> (T, usize, bool, BTreeMap<u64, BTreeSet<u64>>, BTreeSet<u64>) {
         let mut hints = self.config.step.indirect_hints.clone();
-        let mut report = self.lift_all();
+        let mut out = lift(self);
         let mut rounds = 1usize;
-        let mut converged = false;
         let mut poisoned = BTreeSet::new();
         loop {
-            match Lifter::refine_step(self.binary, resolver, &report.result, &hints, &mut poisoned)
-            {
-                None => {
-                    converged = true;
-                    break;
-                }
-                Some(next) => {
-                    if rounds >= max_rounds {
-                        break;
-                    }
-                    hints = next;
-                    self.config.step.indirect_hints = hints.clone();
-                    report = self.lift_all();
-                    rounds += 1;
-                }
+            let Some(next) =
+                Lifter::refine_step(self.binary, resolver, result_of(&out), &hints, &mut poisoned)
+            else {
+                return (out, rounds, true, hints, poisoned);
+            };
+            if rounds >= max_rounds {
+                // `next` stays uncommitted: `out` was lifted under
+                // `hints`, and that is what we report (and leave in
+                // the config).
+                return (out, rounds, false, hints, poisoned);
             }
+            hints = next;
+            self.config.step.indirect_hints = hints.clone();
+            out = lift(self);
+            rounds += 1;
         }
-        let refined = crate::refine::RefinedLift {
-            result: report.result.clone(),
-            rounds,
-            converged,
-            hints,
-            demoted: poisoned,
-        };
-        (report, refined)
     }
 
     /// One resolve pass of the refinement fixpoint: re-validate the
@@ -691,6 +679,12 @@ struct FnSlot {
     internal_error: Option<String>,
 }
 
+impl FnSlot {
+    fn new(entry: u64) -> FnSlot {
+        FnSlot { e: FnExploration::new(entry), fresh: 0, internal_error: None }
+    }
+}
+
 /// The result of [`Lifter::lift_all`]: the per-function lift results
 /// plus the session metrics of the run that produced them.
 #[derive(Debug)]
@@ -699,8 +693,8 @@ pub struct BinaryLiftReport {
     /// symbols), sorted. Call targets found transitively appear in
     /// `result.functions` but not here.
     pub roots: Vec<u64>,
-    /// Per-function results, identical in shape to the single-entry
-    /// driver's.
+    /// Per-function results, identical in shape to
+    /// [`Lifter::lift_entry`]'s.
     pub result: LiftResult,
     /// Frozen metrics for this run: per-phase timings, gauges, solver
     /// cache counters, worker count and wall time.

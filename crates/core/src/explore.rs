@@ -14,10 +14,11 @@ use hgl_solver::{Layout, QueryCache};
 use hgl_x86::{decode, Instr};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Everything one exploration step needs from its surroundings: the
-/// binary, the tunables, the shared budget meter, and the optional
-/// solver cache and metrics sink. Bundling these keeps
+/// binary, the tunables, the shared budget meter, the session's solver
+/// cache and its metrics sink. Bundling these keeps
 /// [`FnExploration::run`]'s signature stable as the pipeline grows
 /// cross-cutting services.
 #[derive(Clone, Copy)]
@@ -35,46 +36,23 @@ pub struct ExploreCx<'a> {
     pub budget: &'a Budget,
     /// Shared consumption counters.
     pub meter: &'a BudgetMeter,
-    /// Shared solver-query memo table, if the caller runs one.
-    pub cache: Option<&'a Arc<QueryCache>>,
-    /// Metrics sink, if the caller collects phase timings.
-    pub metrics: Option<&'a Metrics>,
-}
-
-/// Time `f` under `phase` when a metrics sink is present; otherwise
-/// run it untimed (the legacy free functions pay zero overhead).
-fn timed<T>(metrics: Option<&Metrics>, phase: Phase, f: impl FnOnce() -> T) -> T {
-    match metrics {
-        Some(m) => m.time(phase, f),
-        None => f(),
-    }
+    /// Shared solver-query memo table.
+    pub cache: &'a Arc<QueryCache>,
+    /// Metrics sink for phase timings.
+    pub metrics: &'a Metrics,
 }
 
 /// Chained phase timing for the solver→decode→tau sequence that runs
 /// once per instruction: one timestamp per phase *boundary* instead of
-/// two per phase. `stamp` opens the chain; each `lap` charges the time
-/// since the previous boundary to `phase` and becomes the next
-/// boundary. The few instructions of bookkeeping between phases
-/// (window fetch, extent insert, step-context setup) are charged to
-/// the following phase — negligible against halving the clock calls
-/// on the hot path.
-fn stamp(metrics: Option<&Metrics>) -> Option<std::time::Instant> {
-    metrics.map(|_| std::time::Instant::now())
-}
-
-fn lap(
-    metrics: Option<&Metrics>,
-    phase: Phase,
-    prev: Option<std::time::Instant>,
-) -> Option<std::time::Instant> {
-    match (metrics, prev) {
-        (Some(m), Some(t)) => {
-            let now = std::time::Instant::now();
-            m.record(phase, now.duration_since(t));
-            Some(now)
-        }
-        _ => None,
-    }
+/// two per phase. Each `lap` charges the time since the previous
+/// boundary `prev` to `phase` and becomes the next boundary. The few
+/// instructions of bookkeeping between phases (window fetch, extent
+/// insert, step-context setup) are charged to the following phase —
+/// negligible against halving the clock calls on the hot path.
+fn lap(metrics: &Metrics, phase: Phase, prev: Instant) -> Instant {
+    let now = Instant::now();
+    metrics.record(phase, now.duration_since(prev));
+    now
 }
 
 /// An entry in the exploration bag.
@@ -324,7 +302,7 @@ impl FnExploration {
                         *joins += 1;
                         *joins > limits.widen_after
                     };
-                    let joined = timed(cx.metrics, Phase::Join, || state.join(existing, widen));
+                    let joined = cx.metrics.time(Phase::Join, || state.join(existing, widen));
                     self.graph.add_vertex(vid, joined.clone(), true);
                     (vid, Some(joined))
                 }
@@ -346,7 +324,7 @@ impl FnExploration {
         // concrete states; exploring them wastes effort and can poison
         // interval reasoning. Prune.
         meter.count_solver_query();
-        let t = stamp(cx.metrics);
+        let t = Instant::now();
         let sat_check = hgl_solver::Ctx::from_clauses(state.pred.clauses.iter(), Arc::clone(layout));
         let t = lap(cx.metrics, Phase::Solver, t);
         if sat_check.is_unsat() {
@@ -367,9 +345,7 @@ impl FnExploration {
                 // outcome — record the window so the artifact store can
                 // detect when the bytes change.
                 self.extent.insert((addr, window.len().min(u8::MAX as usize) as u8));
-                if let Some(m) = cx.metrics {
-                    m.count_decode_reject(e.reject_key());
-                }
+                cx.metrics.count_decode_reject(e.reject_key());
                 self.rejected =
                     Some(VerificationError::Undecodable { addr, message: e.to_string() });
                 return;
@@ -386,8 +362,8 @@ impl FnExploration {
             fresh,
             diags: &mut self.diags,
             meter,
-            cache: cx.cache.cloned(),
-            metrics: cx.metrics,
+            cache: Some(Arc::clone(cx.cache)),
+            metrics: Some(cx.metrics),
         };
         let stepped = step(&mut ctx, state, &instr, self.entry);
         lap(cx.metrics, Phase::Tau, t);
@@ -421,7 +397,7 @@ impl FnExploration {
                 Successor::Return(s) => {
                     // All return paths share the Exit vertex: join.
                     let joined = match self.graph.vertices.get(&VertexId::Exit) {
-                        Some(v) => timed(cx.metrics, Phase::Join, || s.join(&v.state, false)),
+                        Some(v) => cx.metrics.time(Phase::Join, || s.join(&v.state, false)),
                         None => s,
                     };
                     self.graph.add_vertex(VertexId::Exit, joined, true);

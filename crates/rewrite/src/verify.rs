@@ -33,25 +33,18 @@ impl ReliftVerdict {
     }
 }
 
-/// Re-lift `rewritten` from scratch and compare its Hoare Graphs
-/// against `original_lift`. Meaningful for identity rewrites, where
-/// byte equality should force graph equality; a mismatch means either
-/// the rewriter corrupted the image or the lifter is not
-/// deterministic — both reportable defects.
+/// Re-lift `rewritten` from scratch with `Lifter::lift_all` and
+/// compare its Hoare Graphs against `original_lift`. Meaningful for
+/// identity rewrites, where byte equality should force graph equality;
+/// a mismatch means either the rewriter corrupted the image or the
+/// lifter is not deterministic — both reportable defects.
+/// `original_lift` may come from `lift_all` or `lift_entry`: both run
+/// the same engine, so a function's graph does not depend on which
+/// roots reached it. The function sets must still match exactly, so a
+/// `lift_entry` original corresponds only when its closure covers
+/// every root `lift_all` discovers.
 pub fn verify_relift(original_lift: &LiftResult, rewritten: &Binary) -> ReliftVerdict {
     let report = Lifter::new(rewritten).lift_all();
     let correspondence = hgl_export::graphs_correspond(original_lift, &report.result);
     ReliftVerdict { relift: report.result, report: correspondence }
-}
-
-/// Like [`verify_relift`], but re-lift only the entry's call closure
-/// with the sequential driver. Use this when `original_lift` itself
-/// came from `Lifter::lift_entry`: the two drivers legitimately
-/// produce different (both sound) invariants for the same function —
-/// callee summaries are integrated in a different order — so the
-/// correspondence check must compare like with like.
-pub fn verify_relift_entry(original_lift: &LiftResult, rewritten: &Binary) -> ReliftVerdict {
-    let relift = Lifter::new(rewritten).lift_entry(rewritten.entry);
-    let correspondence = hgl_export::graphs_correspond(original_lift, &relift);
-    ReliftVerdict { relift, report: correspondence }
 }
