@@ -27,8 +27,9 @@
 use hgl_core::Lifter;
 use hgl_corpus::xen::gen_study_binary;
 use hgl_elf::Binary;
+use hgl_export::envelope::document;
+use hgl_export::json::Style::Block;
 use hgl_store::Store;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -291,47 +292,31 @@ fn main() -> ExitCode {
         sb.cold, sb.warm, sb.hits, sb.objects
     );
 
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"hgl-bench-pr7\",\n");
-    doc.push_str("  \"version\": 1,\n");
-    let _ = writeln!(doc, "  \"quick\": {},", cfg.quick);
-    let _ = writeln!(doc, "  \"binaries\": {},", bins.len());
-    let _ = writeln!(doc, "  \"reps\": {reps},");
-    let _ = writeln!(doc, "  \"workers\": {workers},");
-    let _ = writeln!(doc, "  \"functions_lifted\": {seq_fns},");
-    let _ = writeln!(doc, "  \"sequential_ns\": {},", seq.as_nanos());
-    let _ = writeln!(doc, "  \"parallel_ns\": {},", par.as_nanos());
-    let _ = writeln!(doc, "  \"cold_fns_per_sec\": {cold_fns_per_sec:.1},");
-    let _ = writeln!(doc, "  \"baseline_cold_fns_per_sec\": {baseline:.1},");
-    let _ = writeln!(doc, "  \"cold_speedup_vs_baseline\": {cold_speedup:.4},");
-    doc.push_str("  \"phase_ns\": {\n");
-    for (i, (name, ns)) in PHASES.iter().zip(phases).enumerate() {
-        let comma = if i + 1 == PHASES.len() { "" } else { "," };
-        let _ = writeln!(doc, "    \"{name}\": {ns}{comma}");
-    }
-    doc.push_str("  },\n");
-    doc.push_str("  \"phase_share\": {\n");
-    for (i, (name, ns)) in PHASES.iter().zip(phases).enumerate() {
-        let comma = if i + 1 == PHASES.len() { "" } else { "," };
-        let share = ns as f64 / (phase_total as f64).max(1.0);
-        let _ = writeln!(doc, "    \"{name}\": {share:.4}{comma}");
-    }
-    doc.push_str("  },\n");
-    let _ = writeln!(doc, "  \"parallel_speedup\": {speedup:.4},");
-    let _ = writeln!(doc, "  \"cache_cold_ns\": {},", cb.cold.as_nanos());
-    let _ = writeln!(doc, "  \"cache_warm_ns\": {},", cb.warm.as_nanos());
-    let _ = writeln!(doc, "  \"cache_warm_speedup\": {warm_speedup:.4},");
-    let _ = writeln!(doc, "  \"solver_cold_ns\": {},", cb.solver_cold);
-    let _ = writeln!(doc, "  \"solver_warm_ns\": {},", cb.solver_warm);
-    let _ = writeln!(doc, "  \"solver_warm_speedup\": {solver_speedup:.4},");
-    let _ = writeln!(doc, "  \"cache_hit_rate\": {:.4},", cb.hit_rate);
-    let _ = writeln!(doc, "  \"store_cold_ns\": {},", sb.cold.as_nanos());
-    let _ = writeln!(doc, "  \"store_warm_ns\": {},", sb.warm.as_nanos());
-    let _ = writeln!(doc, "  \"store_warm_speedup\": {store_speedup:.4},");
-    let _ = writeln!(doc, "  \"store_hits\": {},", sb.hits);
-    let _ = writeln!(doc, "  \"store_objects\": {}", sb.objects);
-    doc.push_str("}\n");
+    let doc = document("hgl-bench-pr7", |w| {
+        w.key("quick").raw(cfg.quick).key("binaries").raw(bins.len()).key("reps").raw(reps);
+        w.key("workers").raw(workers).key("functions_lifted").raw(seq_fns);
+        w.key("sequential_ns").raw(seq.as_nanos()).key("parallel_ns").raw(par.as_nanos());
+        w.key("cold_fns_per_sec").raw(format_args!("{cold_fns_per_sec:.1}"));
+        w.key("baseline_cold_fns_per_sec").raw(format_args!("{baseline:.1}"));
+        w.key("cold_speedup_vs_baseline").raw(format_args!("{cold_speedup:.4}"));
+        w.key("phase_ns").object(Block);
+        for (name, ns) in PHASES.iter().zip(phases) {
+            w.key(name).raw(ns);
+        }
+        w.end().key("phase_share").object(Block);
+        for (name, ns) in PHASES.iter().zip(phases) {
+            w.key(name).raw(format_args!("{:.4}", ns as f64 / (phase_total as f64).max(1.0)));
+        }
+        w.end().key("parallel_speedup").raw(format_args!("{speedup:.4}"));
+        w.key("cache_cold_ns").raw(cb.cold.as_nanos()).key("cache_warm_ns").raw(cb.warm.as_nanos());
+        w.key("cache_warm_speedup").raw(format_args!("{warm_speedup:.4}"));
+        w.key("solver_cold_ns").raw(cb.solver_cold).key("solver_warm_ns").raw(cb.solver_warm);
+        w.key("solver_warm_speedup").raw(format_args!("{solver_speedup:.4}"));
+        w.key("cache_hit_rate").raw(format_args!("{:.4}", cb.hit_rate));
+        w.key("store_cold_ns").raw(sb.cold.as_nanos()).key("store_warm_ns").raw(sb.warm.as_nanos());
+        w.key("store_warm_speedup").raw(format_args!("{store_speedup:.4}"));
+        w.key("store_hits").raw(sb.hits).key("store_objects").raw(sb.objects);
+    });
 
     match &cfg.out {
         Some(path) => {

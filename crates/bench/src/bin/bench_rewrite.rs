@@ -33,9 +33,9 @@ use hgl_core::Lifter;
 use hgl_corpus::failures::corrupted_return;
 use hgl_corpus::xen::gen_study_binary;
 use hgl_elf::Binary;
+use hgl_export::envelope::document;
 use hgl_oracle::{run_differential, DiffConfig, DiffReport};
 use hgl_rewrite::{elf_image, rewrite, verify_relift, RewritePass, ShadowStackPass};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -271,42 +271,27 @@ fn main() -> ExitCode {
     let divergences = usize::from(vf.identity.divergence.is_some())
         + usize::from(vf.guarded.divergence.is_some());
 
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"hgl-bench-rewrite\",\n");
-    doc.push_str("  \"version\": 1,\n");
-    let _ = writeln!(doc, "  \"quick\": {},", cfg.quick);
-    let _ = writeln!(doc, "  \"reps\": {reps},");
-    let _ = writeln!(doc, "  \"corpus_binaries\": {},", id.binaries);
-    let _ = writeln!(doc, "  \"identity_functions\": {},", id.functions);
-    let _ = writeln!(doc, "  \"identity_instructions\": {},", id.instructions);
-    let _ = writeln!(doc, "  \"identity_min_ns\": {},", id.min_wall.as_nanos());
-    let _ = writeln!(
-        doc,
-        "  \"identity_instructions_per_s\": {:.0},",
-        per_second(id.instructions, id.min_wall)
-    );
-    let _ = writeln!(doc, "  \"identity_nonzero_delta\": {},", id.nonzero_delta);
-    let _ = writeln!(doc, "  \"identity_refused\": {},", id.refused);
-    let _ = writeln!(doc, "  \"guarded_binaries\": {},", gd.binaries);
-    let _ = writeln!(doc, "  \"guarded_min_ns\": {},", gd.min_wall.as_nanos());
-    let _ = writeln!(doc, "  \"guards_inserted\": {},", gd.guards);
-    let _ = writeln!(doc, "  \"fixture_guards\": {},", gd.fixture_guards);
-    let _ = writeln!(doc, "  \"guarded_refused\": {},", gd.refused);
-    let _ = writeln!(doc, "  \"verify_relift_ns\": {},", vf.relift_wall.as_nanos());
-    let _ = writeln!(doc, "  \"verify_relifts_ok\": {},", vf.relifts_ok);
-    let _ = writeln!(doc, "  \"campaign_identity_traces\": {},", vf.identity.traces_run);
-    let _ = writeln!(doc, "  \"campaign_identity_ns\": {},", vf.identity_wall.as_nanos());
-    let _ = writeln!(
-        doc,
-        "  \"campaign_identity_relifts_ok\": {},",
-        vf.identity.relifts_ok
-    );
-    let _ = writeln!(doc, "  \"campaign_guarded_traces\": {},", vf.guarded.traces_run);
-    let _ = writeln!(doc, "  \"campaign_guarded_ns\": {},", vf.guarded_wall.as_nanos());
-    let _ = writeln!(doc, "  \"campaign_guards\": {},", vf.guarded.guards_inserted);
-    let _ = writeln!(doc, "  \"divergences\": {divergences}");
-    doc.push_str("}\n");
+    let doc = document("hgl-bench-rewrite", |w| {
+        w.key("quick").raw(cfg.quick).key("reps").raw(reps).key("corpus_binaries").raw(id.binaries);
+        w.key("identity_functions").raw(id.functions);
+        w.key("identity_instructions").raw(id.instructions);
+        w.key("identity_min_ns").raw(id.min_wall.as_nanos());
+        let per_s = per_second(id.instructions, id.min_wall);
+        w.key("identity_instructions_per_s").raw(format_args!("{per_s:.0}"));
+        w.key("identity_nonzero_delta").raw(id.nonzero_delta);
+        w.key("identity_refused").raw(id.refused).key("guarded_binaries").raw(gd.binaries);
+        w.key("guarded_min_ns").raw(gd.min_wall.as_nanos()).key("guards_inserted").raw(gd.guards);
+        w.key("fixture_guards").raw(gd.fixture_guards).key("guarded_refused").raw(gd.refused);
+        w.key("verify_relift_ns").raw(vf.relift_wall.as_nanos());
+        w.key("verify_relifts_ok").raw(vf.relifts_ok);
+        w.key("campaign_identity_traces").raw(vf.identity.traces_run);
+        w.key("campaign_identity_ns").raw(vf.identity_wall.as_nanos());
+        w.key("campaign_identity_relifts_ok").raw(vf.identity.relifts_ok);
+        w.key("campaign_guarded_traces").raw(vf.guarded.traces_run);
+        w.key("campaign_guarded_ns").raw(vf.guarded_wall.as_nanos());
+        w.key("campaign_guards").raw(vf.guarded.guards_inserted);
+        w.key("divergences").raw(divergences);
+    });
 
     match &cfg.out {
         Some(path) => {

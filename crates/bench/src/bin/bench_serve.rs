@@ -29,8 +29,8 @@
 
 use hgl_corpus::inject::elf_image;
 use hgl_corpus::xen::gen_study_binary;
+use hgl_export::envelope::document;
 use hgl_serve::{Client, Json, ServeConfig, Server};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -265,25 +265,18 @@ fn main() -> ExitCode {
         co.rate * 100.0
     );
 
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"hgl-bench-serve\",\n");
-    doc.push_str("  \"version\": 1,\n");
-    let _ = writeln!(doc, "  \"quick\": {},", cfg.quick);
-    let _ = writeln!(doc, "  \"steady_requests\": {},", steady.requests);
-    let _ = writeln!(doc, "  \"latency_p50_ns\": {},", steady.p50.as_nanos());
-    let _ = writeln!(doc, "  \"latency_p95_ns\": {},", steady.p95.as_nanos());
-    let _ = writeln!(doc, "  \"latency_p99_ns\": {},", steady.p99.as_nanos());
-    let _ = writeln!(doc, "  \"saturation_requests\": {},", sat.requests);
-    let _ = writeln!(doc, "  \"saturation_ok\": {},", sat.ok);
-    let _ = writeln!(doc, "  \"saturation_shed\": {},", sat.shed);
-    let _ = writeln!(doc, "  \"shed_rate\": {:.4},", sat.shed_rate);
-    let _ = writeln!(doc, "  \"coalesce_requests\": {},", co.requests);
-    let _ = writeln!(doc, "  \"coalesce_hits\": {},", co.coalesced);
-    let _ = writeln!(doc, "  \"coalesce_hit_rate\": {:.4},", co.rate);
     let unstructured = steady.unstructured + sat.unstructured + co.unstructured;
-    let _ = writeln!(doc, "  \"unstructured_responses\": {unstructured}");
-    doc.push_str("}\n");
+    let doc = document("hgl-bench-serve", |w| {
+        w.key("quick").raw(cfg.quick).key("steady_requests").raw(steady.requests);
+        w.key("latency_p50_ns").raw(steady.p50.as_nanos());
+        w.key("latency_p95_ns").raw(steady.p95.as_nanos());
+        w.key("latency_p99_ns").raw(steady.p99.as_nanos());
+        w.key("saturation_requests").raw(sat.requests).key("saturation_ok").raw(sat.ok);
+        w.key("saturation_shed").raw(sat.shed).key("shed_rate").raw(format_args!("{:.4}", sat.shed_rate));
+        w.key("coalesce_requests").raw(co.requests).key("coalesce_hits").raw(co.coalesced);
+        w.key("coalesce_hit_rate").raw(format_args!("{:.4}", co.rate));
+        w.key("unstructured_responses").raw(unstructured);
+    });
 
     match &cfg.out {
         Some(path) => {

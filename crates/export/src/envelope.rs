@@ -1,5 +1,5 @@
-//! The shared versioned envelope of every JSON surface this crate
-//! emits.
+//! The shared versioned envelope of every JSON document the CLI and
+//! the bench binaries write.
 //!
 //! `hgl lift --json`, `hgl lint --json` and `hgl lift --metrics` all
 //! open with the same two fields,
@@ -17,7 +17,7 @@
 //! compatibly. Structural (breaking) changes rename the schema.
 //! The envelopes are golden-pinned in `tests/golden/`.
 
-use std::fmt::Write;
+use crate::json::{JsonWriter, Style};
 
 /// Schema identifier of the lift-result document (`hgl lift --json`).
 pub const LIFT_SCHEMA: &str = "hgl-lift-v1";
@@ -31,14 +31,23 @@ pub const METRICS_SCHEMA: &str = "hgl-metrics-v1";
 /// Minor version shared by all current documents.
 pub const ENVELOPE_VERSION: u64 = 1;
 
-/// Opens a document: `{`, the `schema` field and the `version` field.
-/// The caller appends its payload fields and the closing brace.
-pub(crate) fn open(schema: &str) -> String {
-    let mut o = String::new();
-    o.push_str("{\n");
-    let _ = writeln!(o, "  \"schema\": \"{schema}\",");
-    let _ = writeln!(o, "  \"version\": {ENVELOPE_VERSION},");
-    o
+/// Write a document into `w`: a block object holding `schema`,
+/// `version`, then the fields `fields` writes.
+pub fn write_document(w: &mut JsonWriter, schema: &str, fields: impl FnOnce(&mut JsonWriter)) {
+    w.object(Style::Block).key("schema").str(schema);
+    w.key("version").raw(ENVELOPE_VERSION);
+    fields(w);
+    w.end();
+}
+
+/// A whole document as the CLI prints it: [`write_document`] into a
+/// fresh [`JsonWriter`], then a final newline.
+pub fn document(schema: &str, fields: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::new();
+    write_document(&mut w, schema, fields);
+    let mut doc = w.finish();
+    doc.push('\n');
+    doc
 }
 
 #[cfg(test)]
@@ -47,7 +56,9 @@ mod tests {
 
     #[test]
     fn envelope_shape() {
-        let e = open(LIFT_SCHEMA);
-        assert_eq!(e, "{\n  \"schema\": \"hgl-lift-v1\",\n  \"version\": 1,\n");
+        let doc = document(LIFT_SCHEMA, |w| {
+            w.key("x").raw(1);
+        });
+        assert_eq!(doc, "{\n  \"schema\": \"hgl-lift-v1\",\n  \"version\": 1,\n  \"x\": 1\n}\n");
     }
 }

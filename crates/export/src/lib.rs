@@ -22,6 +22,10 @@
 //!   edges (whose effect is axiomatized by the System V assumption in
 //!   the paper as well) are reported as *assumed* rather than checked.
 //!
+//! The machine-readable surfaces (`hgl lift/lint --json`, `--metrics`,
+//! the `hgl serve` wire protocol, the bench documents) all read and
+//! write JSON through [`json`], the workspace's one JSON layer.
+//!
 //! ```
 //! use hgl_asm::Asm;
 //! use hgl_core::Lifter;
@@ -49,9 +53,11 @@
 
 pub mod checker;
 pub mod correspond;
+pub mod dot;
 pub mod envelope;
 pub mod isabelle;
 pub mod json;
+pub mod liftjson;
 pub mod lintjson;
 pub mod metricsjson;
 pub mod validate;
@@ -60,7 +66,8 @@ pub use checker::{bind_fresh, build_machine, draw_env, post_holds, Env};
 pub use correspond::{graphs_correspond, CorrespondReport};
 pub use envelope::{ENVELOPE_VERSION, LIFT_SCHEMA, LINT_SCHEMA, METRICS_SCHEMA};
 pub use isabelle::export_theory;
-pub use json::{export_dot, export_json};
-pub use lintjson::export_lint_json;
+pub use dot::export_dot;
+pub use liftjson::{export_json, write_lift_json};
+pub use lintjson::{export_lint_json, write_lint_json};
 pub use metricsjson::export_metrics_json;
 pub use validate::{validate_lift, EdgeFailure, ValidateConfig, ValidationReport};

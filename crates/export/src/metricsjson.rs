@@ -2,103 +2,61 @@
 //!
 //! The `hgl-metrics-v1` document freezes one engine run: per-phase
 //! wall time and invocation counts, binary-level gauges, the solver
-//! cache's hit/miss/eviction counters, and the worker count. The bench
-//! harness in `crates/bench` consumes it to build `BENCH_pr4.json`.
-//!
-//! Like the other JSON surfaces, the emitter is hand-rolled and fully
-//! deterministic apart from the timing values themselves.
+//! cache's hit/miss/eviction counters, and the worker count. It is
+//! fully deterministic apart from the timing values themselves, and
+//! its shape is pinned byte for byte by the tests below.
 
-use crate::envelope::{open, METRICS_SCHEMA};
+use crate::envelope::{document, METRICS_SCHEMA};
+use crate::json::Style::{Block, Inline};
 use hgl_core::MetricsSnapshot;
-use std::fmt::Write;
 
 /// Serialise a [`MetricsSnapshot`] to the `hgl-metrics-v1` document.
 pub fn export_metrics_json(m: &MetricsSnapshot) -> String {
-    let mut o = open(METRICS_SCHEMA);
-    let _ = writeln!(o, "  \"workers\": {},", m.workers);
-    let _ = writeln!(o, "  \"elapsed_ns\": {},", m.elapsed_nanos);
-    let _ = writeln!(o, "  \"rounds\": {},", m.rounds);
-    o.push_str("  \"phases\": [\n");
-    for (i, p) in m.phases.iter().enumerate() {
-        let _ = write!(
-            o,
-            "    {{ \"phase\": \"{}\", \"nanos\": {}, \"count\": {} }}",
-            p.phase.name(),
-            p.nanos,
-            p.count
-        );
-        o.push_str(if i + 1 < m.phases.len() { ",\n" } else { "\n" });
-    }
-    o.push_str("  ],\n");
-    let _ = writeln!(
-        o,
-        "  \"gauges\": {{ \"states\": {}, \"instructions\": {}, \"functions_lifted\": {}, \
-         \"functions_rejected\": {} }},",
-        m.states, m.instructions, m.functions_lifted, m.functions_rejected,
-    );
-    // Decode-failure telemetry: present only when a fetch actually
-    // failed to decode, so reject-free documents keep the shape (and
-    // bytes) the pre-telemetry goldens pin.
-    if !m.decode_rejects.is_empty() {
-        o.push_str("  \"decode_rejects\": {");
-        for (i, (key, count)) in m.decode_rejects.iter().enumerate() {
-            let _ = write!(o, "{}\"{}\": {}", if i == 0 { " " } else { ", " }, key, count);
+    document(METRICS_SCHEMA, |w| {
+        w.key("workers").raw(m.workers).key("elapsed_ns").raw(m.elapsed_nanos);
+        w.key("rounds").raw(m.rounds).key("phases").array(Block);
+        for p in &m.phases {
+            w.object(Inline).key("phase").str(p.phase.name());
+            w.key("nanos").raw(p.nanos).key("count").raw(p.count).end();
         }
-        o.push_str(" },\n");
-    }
-    let c = &m.cache;
-    let _ = write!(
-        o,
-        "  \"solver_cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"entries\": {}, \"hit_rate\": {:.4}, \"query_ns\": {} }}",
-        c.hits,
-        c.misses,
-        c.evictions,
-        c.entries,
-        c.hit_rate(),
-        c.query_nanos,
-    );
-    // The artifact-store block appears only when the run had a store
-    // attached, so store-less documents are byte-identical to pre-store
-    // emitters.
-    if let Some(s) = &m.store {
-        o.push_str(",\n");
-        let _ = write!(
-            o,
-            "  \"store\": {{ \"hits\": {}, \"misses\": {}, \"invalidations\": {}, \
-             \"evictions\": {}, \"inserts\": {}, \"tmp_swept\": {}, \"write_retries\": {}, \
-             \"write_failures\": {}, \"hit_rate\": {:.4} }}",
-            s.hits,
-            s.misses,
-            s.invalidations,
-            s.evictions,
-            s.inserts,
-            s.tmp_swept,
-            s.write_retries,
-            s.write_failures,
-            s.hit_rate(),
-        );
-    }
-    // The rewrite block appears only for `hgl rewrite --metrics` runs,
-    // so lift documents keep their pre-rewrite bytes.
-    if let Some(r) = &m.rewrite {
-        o.push_str(",\n");
-        let _ = write!(
-            o,
-            "  \"rewrite\": {{ \"functions\": {}, \"instructions_reencoded\": {}, \
-             \"bytes_delta\": {}, \"guards_inserted\": {}, \"verify_relift_ok\": {}, \
-             \"verify_traces_ok\": {} }}",
-            r.functions,
-            r.instructions_reencoded,
-            r.bytes_delta,
-            r.guards_inserted,
-            opt_bool(r.verify_relift_ok),
-            opt_bool(r.verify_traces_ok),
-        );
-    }
-    o.push('\n');
-    o.push_str("}\n");
-    o
+        w.end().key("gauges").object(Inline).key("states").raw(m.states);
+        w.key("instructions").raw(m.instructions).key("functions_lifted").raw(m.functions_lifted);
+        w.key("functions_rejected").raw(m.functions_rejected).end();
+        // Decode-failure telemetry: present only when a fetch actually
+        // failed to decode, so reject-free documents keep the shape (and
+        // bytes) the pre-telemetry goldens pin.
+        if !m.decode_rejects.is_empty() {
+            w.key("decode_rejects").object(Inline);
+            for (key, count) in &m.decode_rejects {
+                w.key(key).raw(count);
+            }
+            w.end();
+        }
+        let c = &m.cache;
+        w.key("solver_cache").object(Inline).key("hits").raw(c.hits).key("misses").raw(c.misses);
+        w.key("evictions").raw(c.evictions).key("entries").raw(c.entries);
+        w.key("hit_rate").raw(format_args!("{:.4}", c.hit_rate()));
+        w.key("query_ns").raw(c.query_nanos).end();
+        // The artifact-store block appears only when the run had a store
+        // attached, so store-less documents are byte-identical to
+        // pre-store emitters.
+        if let Some(s) = &m.store {
+            w.key("store").object(Inline).key("hits").raw(s.hits).key("misses").raw(s.misses);
+            w.key("invalidations").raw(s.invalidations).key("evictions").raw(s.evictions);
+            w.key("inserts").raw(s.inserts).key("tmp_swept").raw(s.tmp_swept);
+            w.key("write_retries").raw(s.write_retries).key("write_failures").raw(s.write_failures);
+            w.key("hit_rate").raw(format_args!("{:.4}", s.hit_rate())).end();
+        }
+        // The rewrite block appears only for `hgl rewrite --metrics`
+        // runs, so lift documents keep their pre-rewrite bytes.
+        if let Some(r) = &m.rewrite {
+            w.key("rewrite").object(Inline).key("functions").raw(r.functions);
+            w.key("instructions_reencoded").raw(r.instructions_reencoded);
+            w.key("bytes_delta").raw(r.bytes_delta).key("guards_inserted").raw(r.guards_inserted);
+            w.key("verify_relift_ok").raw(opt_bool(r.verify_relift_ok));
+            w.key("verify_traces_ok").raw(opt_bool(r.verify_traces_ok)).end();
+        }
+    })
 }
 
 fn opt_bool(v: Option<bool>) -> &'static str {

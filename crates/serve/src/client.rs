@@ -21,6 +21,7 @@ impl Client {
     /// Connect to a daemon at `addr` (e.g. `"127.0.0.1:7878"`).
     pub fn connect(addr: &str) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader, next_id: 1 })
     }
@@ -30,11 +31,10 @@ impl Client {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
-    /// Send one raw line (no trailing newline needed).
+    /// Send one raw line (no trailing newline needed), newline included
+    /// in one write.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()
+        self.writer.write_all(&[line.as_bytes(), b"\n"].concat())
     }
 
     /// Receive one response line, parsed.

@@ -36,9 +36,12 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
 pub mod proto;
 pub mod server;
+
+/// The workspace's one JSON layer, which the wire protocol is written
+/// and parsed with.
+pub use hgl_export::json;
 
 pub use client::Client;
 pub use json::Json;

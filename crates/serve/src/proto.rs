@@ -31,7 +31,7 @@
 //! - `"internal"` — the request panicked inside the engine; the panic
 //!   was isolated to the request and the daemon is still healthy.
 
-use crate::json::Json;
+use crate::json::{Json, JsonWriter, Style};
 
 /// Upper bound on a hex-encoded binary payload (decoded bytes); frames
 /// above it are rejected as `bad_request` before decoding allocates.
@@ -184,34 +184,28 @@ pub fn hex_encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Start a response line: `{"id":<id>,"status":"<status>"`. The id is
-/// already serialised JSON; callers append fields and close with `}`.
-pub fn response_head(id: &str, status: &str) -> String {
-    format!("{{\"id\":{id},\"status\":\"{status}\"")
+/// One response line: `{"id":<id>,"status":"<status>"`, the members
+/// `fields` writes, `}`. The id is already serialised JSON.
+pub fn response(id: &str, status: &str, fields: impl FnOnce(&mut JsonWriter)) -> String {
+    let mut w = JsonWriter::one_line();
+    w.object(Style::Compact).key("id").raw(id).key("status").str(status);
+    fields(&mut w);
+    w.end();
+    w.finish()
 }
 
 /// A complete single-field error response.
 pub fn error_response(id: &str, status: &str, error: &str) -> String {
-    let mut out = response_head(id, status);
-    out.push_str(",\"error\":");
-    crate::json::write_json_string(error, &mut out);
-    out.push('}');
-    out
+    response(id, status, |w| {
+        w.key("error").str(error);
+    })
 }
 
 /// The `overloaded` shed response with its retry hint.
 pub fn overloaded_response(id: &str, retry_after_ms: u64) -> String {
-    let mut out = response_head(id, "overloaded");
-    out.push_str(&format!(",\"retry_after_ms\":{retry_after_ms}}}"));
-    out
-}
-
-/// Collapse a multi-line embedded JSON document onto one line so it can
-/// ride inside a JSONL frame. Sound because the embedded emitters
-/// (`hgl-export`) escape every newline that occurs *inside* a string;
-/// raw `\n` bytes are pure formatting.
-pub fn one_line(doc: &str) -> String {
-    doc.split(['\n', '\r']).map(str::trim).collect::<Vec<_>>().join(" ").trim().to_string()
+    response(id, "overloaded", |w| {
+        w.key("retry_after_ms").raw(retry_after_ms);
+    })
 }
 
 #[cfg(test)]
@@ -275,22 +269,15 @@ mod tests {
 
     #[test]
     fn response_builders_emit_valid_json() {
-        use crate::json::Json;
         for line in [
             error_response("null", "bad_request", "bad json: oops\nnewline"),
             overloaded_response("17", 120),
-            response_head("\"abc\"", "ok") + "}",
+            response("\"abc\"", "ok", |_| {}),
         ] {
             assert!(!line.contains('\n'), "single-line: {line}");
             Json::parse(&line).expect("valid json");
         }
-    }
-
-    #[test]
-    fn one_line_flattens_pretty_json() {
-        let doc = "{\n  \"a\": 1,\n  \"b\": \"x\\ny\"\n}\n";
-        let flat = one_line(doc);
-        assert!(!flat.contains('\n'));
-        assert_eq!(Json::parse(&flat).expect("valid").get("b").and_then(Json::as_str), Some("x\ny"));
+        let shed = overloaded_response("17", 120);
+        assert_eq!(shed, r#"{"id":17,"status":"overloaded","retry_after_ms":120}"#);
     }
 }

@@ -34,14 +34,12 @@
 //! computation and receive its result, consuming no queue slot and no
 //! worker.
 
-use crate::json::write_json_string;
-use crate::proto::{
-    error_response, one_line, overloaded_response, parse_request, response_head, Op, Request,
-};
+use crate::json::{JsonWriter, Style::Compact};
+use crate::proto::{error_response, overloaded_response, parse_request, response, Op, Request};
 use hgl_analysis::{analyze, AnalysisConfig, Severity};
 use hgl_core::{ArtifactStore, LiftConfig, Lifter};
 use hgl_elf::Binary;
-use hgl_export::{export_json, export_lint_json};
+use hgl_export::{write_lift_json, write_lint_json};
 use hgl_solver::QueryCache;
 use hgl_store::sha256::sha256;
 use hgl_store::Store;
@@ -135,16 +133,23 @@ impl Responder {
     /// Send `line` if nobody has responded yet; returns whether this
     /// call won. Write errors (client went away) are swallowed: a dead
     /// peer must never take the worker down with it.
-    fn send(&self, line: &str) -> bool {
+    fn send(&self, line: String) -> bool {
         if self.responded.swap(true, Ordering::SeqCst) {
             return false;
         }
-        if let Ok(mut w) = self.writer.lock() {
-            let _ = w.write_all(line.as_bytes());
-            let _ = w.write_all(b"\n");
-            let _ = w.flush();
-        }
+        send_line(&self.writer, line);
         true
+    }
+
+    /// Answer with a worker's `(status, members)`; a coalesced
+    /// follower's line says so.
+    fn answer(&self, (status, members): &(&str, String), coalesced: bool) -> bool {
+        self.send(response(&self.id, status, |w| {
+            w.raw(members);
+            if coalesced {
+                w.key("coalesced").raw(true);
+            }
+        }))
     }
 
     fn is_responded(&self) -> bool {
@@ -317,12 +322,11 @@ impl Inner {
             if self.shutting_down.load(Ordering::SeqCst) {
                 return;
             }
+            let _ = stream.set_nodelay(true);
             if self.conn_count.load(Ordering::SeqCst) >= self.config.max_connections {
-                let mut s = stream;
-                let _ = s.write_all(
-                    overloaded_response("null", self.retry_after_ms()).as_bytes(),
-                );
-                let _ = s.write_all(b"\n");
+                let mut line = overloaded_response("null", self.retry_after_ms());
+                line.push('\n');
+                let _ = (&stream).write_all(line.as_bytes());
                 continue;
             }
             self.conn_count.fetch_add(1, Ordering::SeqCst);
@@ -382,17 +386,9 @@ impl Inner {
                     None if buf.len() > self.config.max_frame_bytes => {
                         if !discarding {
                             self.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                            send_line(
-                                &writer,
-                                &error_response(
-                                    "null",
-                                    "bad_request",
-                                    &format!(
-                                        "frame exceeds {} bytes",
-                                        self.config.max_frame_bytes
-                                    ),
-                                ),
-                            );
+                            let error =
+                                format!("frame exceeds {} bytes", self.config.max_frame_bytes);
+                            send_line(&writer, error_response("null", "bad_request", &error));
                             discarding = true;
                         }
                         buf.clear();
@@ -412,21 +408,21 @@ impl Inner {
             Ok(req) => req,
             Err(bad) => {
                 self.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                send_line(writer, &error_response(&bad.id, "bad_request", &bad.error));
+                send_line(writer, error_response(&bad.id, "bad_request", &bad.error));
                 return;
             }
         };
         match req.op {
-            Op::Ping => {
-                send_line(writer, &(response_head(&req.id, "ok") + ",\"op\":\"ping\"}"));
+            Op::Ping | Op::Shutdown => {
+                let pong = response(&req.id, "ok", |w| {
+                    w.key("op").str(req.op.tag());
+                });
+                send_line(writer, pong);
+                if req.op == Op::Shutdown {
+                    self.begin_shutdown();
+                }
             }
-            Op::Metrics => {
-                send_line(writer, &self.metrics_response(&req.id));
-            }
-            Op::Shutdown => {
-                send_line(writer, &(response_head(&req.id, "ok") + ",\"op\":\"shutdown\"}"));
-                self.begin_shutdown();
-            }
+            Op::Metrics => send_line(writer, self.metrics_response(&req.id)),
             Op::Lift | Op::Lint => self.admit(req, writer),
         }
     }
@@ -447,7 +443,7 @@ impl Inner {
     fn admit(self: &Arc<Inner>, req: Request, writer: &Arc<Mutex<TcpStream>>) {
         if self.shutting_down.load(Ordering::SeqCst) {
             self.counters.drained.fetch_add(1, Ordering::Relaxed);
-            send_line(writer, &error_response(&req.id, "shutting_down", "daemon is draining"));
+            send_line(writer, error_response(&req.id, "shutting_down", "daemon is draining"));
             return;
         }
         let rel = self.relative_budget(&req);
@@ -476,7 +472,7 @@ impl Inner {
             if queue.len() >= self.config.queue_capacity {
                 self.counters.shed.fetch_add(1, Ordering::Relaxed);
                 drop(queue);
-                send_line(writer, &overloaded_response(&req.id, self.retry_after_ms()));
+                send_line(writer, overloaded_response(&req.id, self.retry_after_ms()));
                 return;
             }
             // Become the coalescing leader (first writer wins; a racing
@@ -530,7 +526,7 @@ impl Inner {
                 let entries = std::mem::take(&mut *self.watch.lock().expect("watch lock"));
                 for (_, weak) in entries {
                     if let Some(r) = weak.upgrade() {
-                        if r.send(&error_response(&r.id, "shutting_down", "daemon is draining")) {
+                        if r.send(error_response(&r.id, "shutting_down", "daemon is draining")) {
                             self.counters.drained.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -555,11 +551,7 @@ impl Inner {
                 });
             }
             for r in fired {
-                if r.send(&error_response(
-                    &r.id,
-                    "deadline",
-                    "deadline expired before completion",
-                )) {
+                if r.send(error_response(&r.id, "deadline", "deadline expired before completion")) {
                     self.counters.deadline_fired.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -601,11 +593,11 @@ impl Inner {
     /// Answer a queued job with `shutting_down` (graceful drain).
     fn drain_job(&self, job: Job) {
         let line = error_response(&job.responder.id, "shutting_down", "daemon is draining");
-        if job.responder.send(&line) {
+        if job.responder.send(line) {
             self.counters.drained.fetch_add(1, Ordering::Relaxed);
         }
         for w in self.remove_entry(&job) {
-            if w.send(&error_response(&w.id, "shutting_down", "daemon is draining")) {
+            if w.send(error_response(&w.id, "shutting_down", "daemon is draining")) {
                 self.counters.drained.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -637,88 +629,63 @@ impl Inner {
             }
             // A live follower still needs the result: compute anyway
             // (the expired leader's entry is already detached).
-            self.finish(&job, waiters);
+            self.answer_followers(&self.run(&job), waiters);
             return;
         }
         let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.handle(&job.request, job.deadline)));
+        let outcome = self.run(&job);
         let service_ns = started.elapsed().as_nanos() as u64;
         let prev = self.ewma_service_ns.load(Ordering::Relaxed);
         self.ewma_service_ns.store(prev - prev / 8 + service_ns / 8, Ordering::Relaxed);
 
-        let (status, fields) = match outcome {
-            Ok(sf) => sf,
-            Err(payload) => {
-                self.counters.panics_isolated.fetch_add(1, Ordering::Relaxed);
-                let msg = panic_text(payload);
-                let mut fields = String::from(",\"error\":");
-                write_json_string(&format!("request panicked (isolated): {msg}"), &mut fields);
-                ("internal".to_string(), fields)
-            }
-        };
-
         // Remove the entry *before* answering so late followers start a
         // fresh computation instead of attaching to a drained one.
         let waiters = self.remove_entry(&job);
-        let line = format!("{}{}{}", response_head(&job.responder.id, &status), fields, "}");
-        if job.responder.send(&line) {
+        if job.responder.answer(&outcome, false) {
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
         }
+        self.answer_followers(&outcome, waiters);
+    }
+
+    fn answer_followers(&self, outcome: &(&str, String), waiters: Vec<Arc<Responder>>) {
         for w in waiters {
-            let line = format!(
-                "{}{}{}",
-                response_head(&w.id, &status),
-                fields,
-                ",\"coalesced\":true}"
-            );
-            if w.send(&line) {
+            if w.answer(outcome, true) {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Compute for followers of an already-expired leader.
-    fn finish(self: &Arc<Inner>, job: &Job, waiters: Vec<Arc<Responder>>) {
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.handle(&job.request, job.deadline)));
-        let (status, fields) = match outcome {
-            Ok(sf) => sf,
-            Err(payload) => {
+    /// [`handle`](Inner::handle) with panic isolation: a panic becomes
+    /// an `internal` outcome.
+    fn run(&self, job: &Job) -> (&'static str, String) {
+        catch_unwind(AssertUnwindSafe(|| self.handle(&job.request, job.deadline))).unwrap_or_else(
+            |payload| {
                 self.counters.panics_isolated.fetch_add(1, Ordering::Relaxed);
+                let mut m = JsonWriter::members();
                 let msg = panic_text(payload);
-                let mut fields = String::from(",\"error\":");
-                write_json_string(&format!("request panicked (isolated): {msg}"), &mut fields);
-                ("internal".to_string(), fields)
-            }
-        };
-        for w in waiters {
-            let line = format!(
-                "{}{}{}",
-                response_head(&w.id, &status),
-                fields,
-                ",\"coalesced\":true}"
-            );
-            if w.send(&line) {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+                m.key("error").display(format_args!("request panicked (isolated): {msg}"));
+                ("internal", m.finish())
+            },
+        )
     }
 
     // ------------------------------------------------------------------
     // Request handlers
     // ------------------------------------------------------------------
 
-    /// Execute a lift or lint. Returns `(status, extra response fields)`
-    /// where the fields string starts with `,`.
-    fn handle(&self, req: &Request, deadline: Instant) -> (String, String) {
+    /// Execute a lift or lint. Returns the status and the response
+    /// members, written by [`JsonWriter::members`].
+    fn handle(&self, req: &Request, deadline: Instant) -> (&'static str, String) {
         if req.inject_panic && self.config.enable_fault_injection {
             panic!("injected request panic (fault campaign)");
         }
+        let mut m = JsonWriter::members();
         let bin = match Binary::parse(&req.binary) {
             Ok(bin) => bin,
             Err(e) => {
-                let mut fields = String::from(",\"lifted\":false,\"reject\":");
-                write_json_string(&format!("MalformedBinary: {e}"), &mut fields);
-                return ("ok".to_string(), fields);
+                m.key("lifted").raw(false);
+                m.key("reject").display(format_args!("MalformedBinary: {e}"));
+                return ("ok", m.finish());
             }
         };
         let started = Instant::now();
@@ -735,114 +702,76 @@ impl Inner {
 
         let r = &report.result;
         let lifted_fns = r.functions.values().filter(|f| f.is_lifted()).count();
-        let mut fields = format!(
-            ",\"lifted\":{},\"functions\":{},\"lifted_functions\":{},\"instructions\":{},\
-             \"states\":{},\"roots\":{},\"elapsed_ms\":{}",
-            r.is_lifted(),
-            r.functions.len(),
-            lifted_fns,
-            r.instruction_count(),
-            r.state_count(),
-            report.roots.len(),
-            elapsed_ms,
-        );
+        m.key("lifted").raw(r.is_lifted()).key("functions").raw(r.functions.len());
+        m.key("lifted_functions").raw(lifted_fns).key("instructions").raw(r.instruction_count());
+        m.key("states").raw(r.state_count()).key("roots").raw(report.roots.len());
+        m.key("elapsed_ms").raw(elapsed_ms).key("reject");
         match r.reject_reason() {
-            Some(reason) => {
-                fields.push_str(",\"reject\":");
-                write_json_string(&format!("{reason:?}"), &mut fields);
-            }
-            None => fields.push_str(",\"reject\":null"),
-        }
+            Some(reason) => m.display(format_args!("{reason:?}")),
+            None => m.null(),
+        };
 
         match req.op {
             Op::Lift => {
                 if req.full {
-                    fields.push_str(",\"report\":");
-                    fields.push_str(&one_line(&export_json(r)));
+                    write_lift_json(m.key("report"), r);
                 }
             }
             Op::Lint => {
                 let analysis = analyze(&bin, r, &AnalysisConfig::default());
-                fields.push_str(&format!(
-                    ",\"diags\":{},\"errors\":{},\"warnings\":{},\"infos\":{}",
-                    analysis.diags.len(),
-                    analysis.count(Severity::Error),
-                    analysis.count(Severity::Warning),
-                    analysis.count(Severity::Info),
-                ));
+                m.key("diags").raw(analysis.diags.len());
+                m.key("errors").raw(analysis.count(Severity::Error));
+                m.key("warnings").raw(analysis.count(Severity::Warning));
+                m.key("infos").raw(analysis.count(Severity::Info));
                 if req.full {
-                    fields.push_str(",\"report\":");
-                    fields.push_str(&one_line(&export_lint_json(&analysis)));
+                    write_lint_json(m.key("report"), &analysis);
                 }
             }
             Op::Ping | Op::Metrics | Op::Shutdown => unreachable!("control ops never reach a worker"),
         }
-        ("ok".to_string(), fields)
+        ("ok", m.finish())
     }
 
     /// The `metrics` op: server counters + shared cache + store.
     fn metrics_response(&self, id: &str) -> String {
+        let n = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let c = &self.counters;
-        let mut out = response_head(id, "ok");
-        out.push_str(&format!(
-            ",\"uptime_ms\":{},\"queue_depth\":{},\"inflight\":{},\"workers\":{},\
-             \"ewma_service_ms\":{}",
-            self.started.elapsed().as_millis(),
-            self.queue.lock().map(|q| q.len()).unwrap_or(0),
-            self.inflight.lock().map(|m| m.len()).unwrap_or(0),
-            self.live_workers.load(Ordering::SeqCst),
-            self.ewma_service_ns.load(Ordering::Relaxed) / 1_000_000,
-        ));
-        out.push_str(&format!(
-            ",\"server\":{{\"connections\":{},\"frames\":{},\"bad_frames\":{},\"admitted\":{},\
-             \"shed\":{},\"coalesced\":{},\"completed\":{},\"deadline_fired\":{},\
-             \"deadline_skipped\":{},\"panics_isolated\":{},\"drained\":{}}}",
-            c.connections.load(Ordering::Relaxed),
-            c.frames.load(Ordering::Relaxed),
-            c.bad_frames.load(Ordering::Relaxed),
-            c.admitted.load(Ordering::Relaxed),
-            c.shed.load(Ordering::Relaxed),
-            c.coalesced.load(Ordering::Relaxed),
-            c.completed.load(Ordering::Relaxed),
-            c.deadline_fired.load(Ordering::Relaxed),
-            c.deadline_skipped.load(Ordering::Relaxed),
-            c.panics_isolated.load(Ordering::Relaxed),
-            c.drained.load(Ordering::Relaxed),
-        ));
-        let cs = self.cache.stats();
-        out.push_str(&format!(
-            ",\"solver_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"hit_rate\":{:.4}}}",
-            cs.hits,
-            cs.misses,
-            cs.entries,
-            cs.hit_rate(),
-        ));
-        if let Some(store) = &self.store {
-            let ss = store.stats();
-            out.push_str(&format!(
-                ",\"store\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"tmp_swept\":{},\
-                 \"write_retries\":{},\"write_failures\":{},\"objects\":{}}}",
-                ss.hits,
-                ss.misses,
-                ss.inserts,
-                ss.tmp_swept,
-                ss.write_retries,
-                ss.write_failures,
-                store.object_count(),
-            ));
-        }
-        out.push('}');
-        out
+        response(id, "ok", |w| {
+            w.key("uptime_ms").raw(self.started.elapsed().as_millis());
+            w.key("queue_depth").raw(self.queue.lock().map(|q| q.len()).unwrap_or(0));
+            w.key("inflight").raw(self.inflight.lock().map(|m| m.len()).unwrap_or(0));
+            w.key("workers").raw(self.live_workers.load(Ordering::SeqCst));
+            w.key("ewma_service_ms").raw(n(&self.ewma_service_ns) / 1_000_000);
+            w.key("server").object(Compact).key("connections").raw(n(&c.connections));
+            w.key("frames").raw(n(&c.frames)).key("bad_frames").raw(n(&c.bad_frames));
+            w.key("admitted").raw(n(&c.admitted)).key("shed").raw(n(&c.shed));
+            w.key("coalesced").raw(n(&c.coalesced)).key("completed").raw(n(&c.completed));
+            w.key("deadline_fired").raw(n(&c.deadline_fired));
+            w.key("deadline_skipped").raw(n(&c.deadline_skipped));
+            w.key("panics_isolated").raw(n(&c.panics_isolated));
+            w.key("drained").raw(n(&c.drained)).end();
+            let cs = self.cache.stats();
+            w.key("solver_cache").object(Compact).key("hits").raw(cs.hits);
+            w.key("misses").raw(cs.misses).key("entries").raw(cs.entries);
+            w.key("hit_rate").raw(format_args!("{:.4}", cs.hit_rate())).end();
+            if let Some(store) = &self.store {
+                let ss = store.stats();
+                w.key("store").object(Compact).key("hits").raw(ss.hits);
+                w.key("misses").raw(ss.misses).key("inserts").raw(ss.inserts);
+                w.key("tmp_swept").raw(ss.tmp_swept).key("write_retries").raw(ss.write_retries);
+                w.key("write_failures").raw(ss.write_failures);
+                w.key("objects").raw(store.object_count()).end();
+            }
+        })
     }
 }
 
-/// Best-effort write of one response line; errors (dead peer) are
-/// dropped on the floor by design.
-fn send_line(writer: &Arc<Mutex<TcpStream>>, line: &str) {
+/// Best-effort write of one response line, newline included, in one
+/// write; errors (dead peer) are dropped on the floor by design.
+fn send_line(writer: &Mutex<TcpStream>, mut line: String) {
+    line.push('\n');
     if let Ok(mut w) = writer.lock() {
         let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
-        let _ = w.flush();
     }
 }
 

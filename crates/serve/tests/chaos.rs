@@ -112,6 +112,17 @@ fn chaos_campaign() {
         let resp = c.recv().expect("oversized answered");
         assert_eq!(status(&resp), "bad_request", "{resp:?}");
         answered += 1;
+        // A frame just under the limit whose payload is one long
+        // non-hex string is parsed (in linear time), not cut off as
+        // oversized: it is answered `bad_request` with its own id.
+        let near_max =
+            format!("{{\"id\":10,\"op\":\"lift\",\"binary\":\"{}\"}}", "z".repeat((1 << 20) - 64));
+        assert!(near_max.len() < 1 << 20);
+        c.send_line(&near_max).expect("send near-max frame");
+        let resp = c.recv().expect("near-max frame answered");
+        assert_eq!(status(&resp), "bad_request", "{resp:?}");
+        assert_eq!(resp.get("id").and_then(Json::as_u64), Some(10), "{resp:?}");
+        answered += 1;
         // ...and the same connection still works for honest traffic.
         let pong = c.ping().expect("ping after malformed storm");
         assert_eq!(status(&pong), "ok");

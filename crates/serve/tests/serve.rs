@@ -1,9 +1,14 @@
 //! Functional tests for the daemon: the happy path, warm sharing,
 //! admission control, deadlines and coalescing.
 
+use hgl_core::{LiftConfig, Lifter};
 use hgl_corpus::inject::elf_image;
 use hgl_corpus::xen::gen_study_binary;
-use hgl_serve::{Client, Json, ServeConfig, Server};
+use hgl_elf::Binary;
+use hgl_serve::json::write_json_string;
+use hgl_serve::{hex_encode, Client, Json, ServeConfig, Server};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -64,6 +69,54 @@ fn lift_round_trip_and_full_report() {
         "{full:?}"
     );
 
+    server.shutdown();
+    server.join();
+}
+
+/// The compact bytes of a `lift` answer, which clients match as text:
+/// the count run right after the status, and the `reject` field, for
+/// one image that lifts and one that is rejected.
+#[test]
+fn lift_response_wire_bytes_are_pinned() {
+    let mut server = Server::bind("127.0.0.1:0", quick_config()).expect("bind");
+    let mut writer = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone stream"));
+    let images = [
+        elf_image(&gen_study_binary(3, false)),
+        elf_image(&hgl_corpus::failures::induced_overflow()),
+    ];
+    let mut rejected = 0;
+    for (id, image) in images.iter().enumerate() {
+        let bin = Binary::parse(image).expect("image parses");
+        let report = Lifter::new(&bin).with_config(LiftConfig::default()).lift_all();
+        let r = &report.result;
+        let counts = format!(
+            "\"lifted\":{},\"functions\":{},\"lifted_functions\":{},\"instructions\":{},\
+             \"states\":{},\"roots\":{},",
+            r.is_lifted(),
+            r.functions.len(),
+            r.functions.values().filter(|f| f.is_lifted()).count(),
+            r.instruction_count(),
+            r.state_count(),
+            report.roots.len()
+        );
+        let mut reject = String::from("\"reject\":");
+        match r.reject_reason() {
+            Some(reason) => {
+                rejected += 1;
+                write_json_string(&format!("{reason:?}"), &mut reject);
+            }
+            None => reject.push_str("null"),
+        }
+        writeln!(writer, "{{\"id\":{id},\"op\":\"lift\",\"binary\":\"{}\"}}", hex_encode(image))
+            .expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("answer");
+        let head = format!("{{\"id\":{id},\"status\":\"ok\",{counts}");
+        assert!(line.starts_with(&head), "{head} does not start {line}");
+        assert!(line.contains(&reject), "{reject} not in {line}");
+    }
+    assert_eq!(rejected, 1, "one image lifts, the other is rejected");
     server.shutdown();
     server.join();
 }
