@@ -4,7 +4,7 @@
 //! regressions.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hgl_corpus::xen::{build_study, run_study, study_config, StudySpec, UnitKind};
+use hgl_corpus::xen::{build_study, run_study_parallel, study_config, StudySpec, UnitKind};
 use hgl_core::Lifter;
 
 fn bench_table1(c: &mut Criterion) {
@@ -18,7 +18,7 @@ fn bench_table1(c: &mut Criterion) {
     group.bench_function("mini_study", |b| {
         b.iter_batched(
             || (),
-            |_| run_study(&study, &config),
+            |_| run_study_parallel(&study, &config, 1),
             BatchSize::PerIteration,
         )
     });

@@ -3,7 +3,10 @@
 //! Each bench target regenerates one table or figure of the paper (see
 //! `DESIGN.md`'s experiment index) or measures one of the design
 //! choices called out there (memory-model insertion policy, the §4
-//! join refinement, decoder throughput, solver query latency).
+//! join refinement, decoder throughput, solver query latency). The one
+//! binary, `bench-engine`, reports the 1-vs-N-worker and warm-cache
+//! ratios. End-to-end timings of the user paths (lift, serve, rewrite
+//! --verify, store) come from the repository's `perfbench` harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

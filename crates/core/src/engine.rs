@@ -10,7 +10,7 @@
 //!   address on the calling thread;
 //! - [`Lifter::lift_all`]: every discovered function entry (the ELF
 //!   entry point, defined function symbols, and the call-target
-//!   closure), lifted on a work-stealing worker pool.
+//!   closure), lifted on the engine's worker pool ([`parallel_map`]).
 //!
 //! Because a function's Hoare Graph does not depend on which roots
 //! reached it (see below), every function in `lift_entry(a)` is equal
@@ -505,55 +505,16 @@ impl<'b> Lifter<'b> {
                 *internal_error = Some(panic_message(payload));
             }
         };
-        let pool = workers.min(runnable.len());
-        if pool <= 1 {
-            for addr in runnable {
-                run_one(slots.get_mut(addr).expect("runnable slot exists"));
-            }
-            return;
-        }
-        // Move the runnable slots into shared cells; a work-stealing
-        // deque per worker hands out indices (owner pops the front,
-        // thieves the back).
-        let cells: Vec<Mutex<Option<FnSlot>>> = runnable
+        // `parallel_map` runs on the calling thread when `workers` is
+        // 1, which keeps `lift_entry` single-threaded.
+        let taken: Vec<(u64, FnSlot)> = runnable
             .iter()
-            .map(|a| Mutex::new(Some(slots.remove(a).expect("runnable slot exists"))))
+            .map(|&a| (a, slots.remove(&a).expect("runnable slot exists")))
             .collect();
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..pool).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, _) in runnable.iter().enumerate() {
-            queues[i % pool].lock().expect("queue lock").push_back(i);
-        }
-        let next = |me: usize| -> Option<usize> {
-            if let Some(i) = queues[me].lock().expect("queue lock").pop_front() {
-                return Some(i);
-            }
-            for k in 1..pool {
-                if let Some(i) = queues[(me + k) % pool].lock().expect("queue lock").pop_back() {
-                    return Some(i);
-                }
-            }
-            None
-        };
-        std::thread::scope(|scope| {
-            for me in 0..pool {
-                let cells = &cells;
-                let next = &next;
-                let run_one = &run_one;
-                scope.spawn(move || {
-                    while let Some(i) = next(me) {
-                        let mut cell = cells[i].lock().expect("cell lock");
-                        if let Some(s) = cell.as_mut() {
-                            run_one(s);
-                        }
-                    }
-                });
-            }
-        });
-        for (i, addr) in runnable.iter().enumerate() {
-            let s = cells[i].lock().expect("cell lock").take().expect("slot returned");
-            slots.insert(*addr, s);
-        }
+        slots.extend(parallel_map(workers, taken, |(a, mut s)| {
+            run_one(&mut s);
+            (a, s)
+        }));
     }
 
     /// Lift the function at `entry`, then run the analyze→re-lift
@@ -711,8 +672,9 @@ impl BinaryLiftReport {
 
 /// Applies `f` to every item on a pool of `workers` threads, returning
 /// results in input order. `workers == 0` means automatic; panics in
-/// `f` propagate after the scope joins. The corpus campaign drivers
-/// run on this so the engine is the single place that spawns workers.
+/// `f` propagate after the scope joins. Engine rounds and the corpus
+/// campaign drivers both run on this, so it is the single place that
+/// spawns workers.
 pub fn parallel_map<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

@@ -77,7 +77,7 @@ pub use diag::{Annotation, ProofObligation, VerificationError};
 pub use engine::{parallel_map, BinaryLiftReport, Lifter};
 pub use fingerprint::{Fingerprint, ARTIFACT_SCHEMA_VERSION};
 pub use graph::{Edge, HoareGraph, Vertex, VertexId};
-pub use lift::{FnLift, LiftConfig, LiftResult, RejectReason};
+pub use lift::{panic_message, FnLift, LiftConfig, LiftResult, RejectReason};
 pub use memmodel::{MemModel, MemTree};
 pub use metrics::{Metrics, MetricsSnapshot, Phase, PhaseSnapshot, RewriteStats};
 pub use pred::{FlagState, Pred, SymState};

@@ -11,7 +11,7 @@
 
 use crate::gen::{GenOptions, ProgramGen};
 use hgl_core::lift::{LiftConfig, LiftResult, RejectReason};
-use hgl_core::Lifter;
+use hgl_core::{panic_message, Lifter};
 use hgl_elf::Binary;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -388,35 +388,6 @@ fn internal_result(u: &CorpusUnit, message: String, time: Duration) -> UnitResul
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Run the lifter over every unit of a study. A panic while processing
-/// one unit is isolated into an `Outcome::Internal` tally for that unit.
-pub fn run_study(study: &XenStudy, config: &LiftConfig) -> Vec<UnitResult> {
-    study
-        .units
-        .iter()
-        .map(|u| {
-            let start = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| {
-                let result = lift_unit(u, config);
-                measure(u, &result, start.elapsed())
-            })) {
-                Ok(r) => r,
-                Err(payload) => internal_result(u, panic_message(payload), start.elapsed()),
-            }
-        })
-        .collect()
-}
-
 /// Run the lifter over every unit of a study, in parallel across
 /// worker threads (the per-unit lifts are independent, mirroring the
 /// paper's exploitation of Isabelle's parallel proof checking).
@@ -475,7 +446,7 @@ mod tests {
     fn mini_study_outcomes_match_expectations() {
         let study = build_study(&StudySpec::mini(), 42);
         assert_eq!(study.units.len(), 10);
-        let results = run_study(&study, &study_config());
+        let results = run_study_parallel(&study, &study_config(), 1);
         for r in &results {
             let ok = match r.expected {
                 ExpectedOutcome::Lifted => r.outcome == Outcome::Lifted,

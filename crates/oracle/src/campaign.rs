@@ -8,7 +8,7 @@
 
 use crate::coverage::{Coverage, CoverageFloor};
 use crate::shrink::{shrink, ShrinkResult};
-use crate::trace::{EntryState, TraceOracle, Violation};
+use crate::trace::{EntryState, TraceOracle, Violation, ViolationKind};
 use hgl_asm::Asm;
 use hgl_core::lift::{LiftConfig, RejectReason};
 use hgl_core::Lifter;
@@ -155,6 +155,28 @@ fn reject_head(r: &RejectReason) -> String {
         .next()
         .unwrap_or("unknown")
         .to_string()
+}
+
+/// Does `candidate` still exhibit a violation of `kind` on entry state
+/// `es`? The shrinker's reproduction predicate for conformance
+/// failures.
+fn reproduces(
+    candidate: &Asm,
+    cfg: &LiftConfig,
+    es: &EntryState,
+    max_steps: usize,
+    kind: &ViolationKind,
+) -> bool {
+    let Ok(bin) = candidate.assemble() else { return false };
+    let lifted = Lifter::new(&bin).with_config(cfg.clone()).lift_entry(bin.entry);
+    if lifted.binary_reject.is_some() {
+        return false;
+    }
+    let mut oracle = TraceOracle::new(&bin, &lifted);
+    oracle.max_steps = max_steps;
+    let mut cov = Coverage::default();
+    let outcome = oracle.check_trace(es, &mut cov);
+    outcome.violation.map(|v| v.kind == *kind).unwrap_or(false)
 }
 
 /// A campaign failure: everything needed to reproduce and report it.
@@ -334,14 +356,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
             report.writes_checked += outcome.writes_checked;
             report.indirect_checked += outcome.indirect_checked;
             if let Some(v) = outcome.violation {
-                let shrunk = shrink(
-                    &prog.asm,
-                    &prog.spans,
-                    &lift_cfg,
-                    &es,
-                    cfg.max_steps,
-                    &v.kind,
-                );
+                let shrunk = shrink(&prog.asm, &prog.spans, |candidate| {
+                    reproduces(candidate, &lift_cfg, &es, cfg.max_steps, &v.kind)
+                });
                 report.failure = Some(CampaignFailure {
                     master_seed: cfg.master_seed,
                     program: p,

@@ -26,7 +26,8 @@
 //! fire only on actual return-address corruption, never on the
 //! campaign's well-behaved programs.
 
-use crate::campaign::{entry_state, synth_program, SynthProgram};
+use crate::campaign::{entry_state, synth_program};
+use crate::shrink::shrink;
 use crate::trace::{EntryState, SENTINEL};
 use hgl_asm::Asm;
 use hgl_core::tau::TERMINATING_EXTERNALS;
@@ -366,17 +367,10 @@ impl fmt::Display for DiffReport {
     }
 }
 
-/// Lift, rewrite and differentially run one program; `None` means all
-/// its entry states are equivalent. Used by both the campaign and the
-/// shrinker's reproduction predicate.
-fn diverges(
-    asm: &Asm,
-    removed: &BTreeSet<usize>,
-    es: &EntryState,
-    max_steps: usize,
-    guarded: bool,
-) -> Option<String> {
-    let candidate = asm.without_text_items(removed);
+/// Lift, rewrite and differentially run one program from entry state
+/// `es`; `None` means the two runs are equivalent. The shrinker's
+/// reproduction predicate for divergences.
+fn diverges(candidate: &Asm, es: &EntryState, max_steps: usize, guarded: bool) -> Option<String> {
     let bin = candidate.assemble().ok()?;
     let lifted = Lifter::new(&bin).lift_entry(bin.entry);
     if lifted.binary_reject.is_some() || lifted.functions.values().any(|f| f.reject.is_some()) {
@@ -388,47 +382,6 @@ fn diverges(
     let orig = run_raw(&bin, es, None, max_steps);
     let rw = run_raw(&out.binary, es, Some(&out), max_steps);
     compare_runs(&orig, &rw, guarded)
-}
-
-/// Shrink a diverging program: drop generator segment spans, then
-/// individual instructions, keeping a removal only while *some*
-/// divergence still reproduces on the same entry state.
-fn shrink_divergence(
-    prog: &SynthProgram,
-    es: &EntryState,
-    max_steps: usize,
-    guarded: bool,
-) -> (Option<String>, usize) {
-    let asm = &prog.asm;
-    let mut removed: BTreeSet<usize> = BTreeSet::new();
-    let mut ordered = prog.spans.clone();
-    ordered.sort_by_key(|(s, e)| std::cmp::Reverse(e - s));
-    for (s, e) in ordered {
-        let trial: BTreeSet<usize> = removed.iter().copied().chain(s..e).collect();
-        if trial.len() > removed.len() && diverges(asm, &trial, es, max_steps, guarded).is_some() {
-            removed = trial;
-        }
-    }
-    loop {
-        let mut progressed = false;
-        for idx in 0..asm.text_len() {
-            if removed.contains(&idx) || !asm.is_instruction(idx) {
-                continue;
-            }
-            let mut trial = removed.clone();
-            trial.insert(idx);
-            if diverges(asm, &trial, es, max_steps, guarded).is_some() {
-                removed = trial;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    let shrunk = asm.without_text_items(&removed);
-    let instructions = (0..shrunk.text_len()).filter(|&i| shrunk.is_instruction(i)).count();
-    (Some(shrunk.listing()), instructions)
 }
 
 /// Run a full differential campaign: synthesize programs, lift,
@@ -522,15 +475,16 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
             report.traces_run += 1;
             report.steps_total += orig.raw_steps + rw.raw_steps;
             if let Some(detail) = compare_runs(&orig, &rw, cfg.guarded) {
-                let (listing, instructions) =
-                    shrink_divergence(&prog, &es, cfg.max_steps, cfg.guarded);
+                let shrunk = shrink(&prog.asm, &prog.spans, |candidate| {
+                    diverges(candidate, &es, cfg.max_steps, cfg.guarded).is_some()
+                });
                 report.divergence = Some(DiffDivergence {
                     master_seed: cfg.master_seed,
                     program: p,
                     entry: k,
                     detail,
-                    shrunk_listing: listing,
-                    shrunk_instructions: instructions,
+                    shrunk_listing: Some(shrunk.listing),
+                    shrunk_instructions: shrunk.instructions,
                 });
                 break 'programs;
             }

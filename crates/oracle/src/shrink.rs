@@ -8,15 +8,14 @@
 //! 1. drop whole generator segment spans,
 //! 2. drop individual instructions, to a fixpoint.
 //!
-//! A removal is kept only if the candidate still assembles, lifts and
-//! reproduces a violation of the same kind on the same seeded entry
-//! state. Labels are never removed, so branch fixups stay resolvable
-//! and a removal can only change semantics, not well-formedness.
+//! A removal is kept only if the caller's reproduction predicate still
+//! holds on the candidate: the conformance campaign asks for a
+//! violation of the same kind on the same seeded entry state, the
+//! differential campaign for any divergence on it. Labels are never
+//! removed, so branch fixups stay resolvable and a removal can only
+//! change semantics, not well-formedness.
 
-use crate::coverage::Coverage;
-use crate::trace::{EntryState, TraceOracle, ViolationKind};
 use hgl_asm::Asm;
-use hgl_core::{LiftConfig, Lifter};
 use std::collections::BTreeSet;
 
 /// A minimal reproducer for a campaign failure.
@@ -30,49 +29,25 @@ pub struct ShrinkResult {
     pub listing: String,
 }
 
-/// Does the candidate program (original minus `removed`) still exhibit
-/// a violation of `kind` on entry state `es`?
-fn reproduces(
-    asm: &Asm,
-    removed: &BTreeSet<usize>,
-    cfg: &LiftConfig,
-    es: &EntryState,
-    max_steps: usize,
-    kind: &ViolationKind,
-) -> bool {
-    let candidate = asm.without_text_items(removed);
-    let Ok(bin) = candidate.assemble() else { return false };
-    let lifted = Lifter::new(&bin).with_config(cfg.clone()).lift_entry(bin.entry);
-    if lifted.binary_reject.is_some() {
-        return false;
-    }
-    let mut oracle = TraceOracle::new(&bin, &lifted);
-    oracle.max_steps = max_steps;
-    let mut cov = Coverage::default();
-    let outcome = oracle.check_trace(es, &mut cov);
-    outcome.violation.map(|v| v.kind == *kind).unwrap_or(false)
-}
-
 /// Shrink a failing program to a minimal reproducer.
 ///
 /// `spans` are the generator's segment spans (half-open text-item
-/// ranges); `kind` is the violation kind that must keep reproducing.
+/// ranges); `reproduces` is called on each candidate program and says
+/// whether the failure still shows.
 pub fn shrink(
     asm: &Asm,
     spans: &[(usize, usize)],
-    cfg: &LiftConfig,
-    es: &EntryState,
-    max_steps: usize,
-    kind: &ViolationKind,
+    mut reproduces: impl FnMut(&Asm) -> bool,
 ) -> ShrinkResult {
     let mut removed: BTreeSet<usize> = BTreeSet::new();
+    let mut keeps = |trial: &BTreeSet<usize>| reproduces(&asm.without_text_items(trial));
 
     // Pass 1: whole segment spans, largest first.
     let mut ordered: Vec<(usize, usize)> = spans.to_vec();
     ordered.sort_by_key(|(s, e)| std::cmp::Reverse(e - s));
     for (s, e) in ordered {
         let trial: BTreeSet<usize> = removed.iter().copied().chain(s..e).collect();
-        if trial.len() > removed.len() && reproduces(asm, &trial, cfg, es, max_steps, kind) {
+        if trial.len() > removed.len() && keeps(&trial) {
             removed = trial;
         }
     }
@@ -86,7 +61,7 @@ pub fn shrink(
             }
             let mut trial = removed.clone();
             trial.insert(idx);
-            if reproduces(asm, &trial, cfg, es, max_steps, kind) {
+            if keeps(&trial) {
                 removed = trial;
                 progressed = true;
             }
@@ -99,4 +74,47 @@ pub fn shrink(
     let shrunk = asm.without_text_items(&removed);
     let instructions = (0..shrunk.text_len()).filter(|&i| shrunk.is_instruction(i)).count();
     ShrinkResult { removed, instructions, listing: shrunk.listing() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::synth_program;
+
+    /// The shrinker on a synthesized program, with a predicate that
+    /// needs one `mov eax, 0xd` and one `ret` to survive: both passes
+    /// must leave exactly those two instructions, and the instruction
+    /// pass, walking indices upwards, keeps the last of each.
+    #[test]
+    fn shrink_keeps_exactly_what_the_predicate_needs() {
+        let prog = synth_program(0x5eed, 3);
+        let needs = |a: &Asm| {
+            let listing = a.listing();
+            a.assemble().is_ok()
+                && listing.lines().any(|l| l.trim() == "mov eax, 0xd")
+                && listing.lines().any(|l| l.trim() == "ret")
+        };
+        assert!(needs(&prog.asm));
+        let mut calls = 0;
+        let shrunk = shrink(&prog.asm, &prog.spans, |a| {
+            calls += 1;
+            needs(a)
+        });
+        let kept: Vec<usize> = (0..prog.asm.text_len())
+            .filter(|i| prog.asm.is_instruction(*i) && !shrunk.removed.contains(i))
+            .collect();
+        let left: Vec<&str> = shrunk
+            .listing
+            .lines()
+            .filter(|l| l.starts_with(' '))
+            .map(str::trim)
+            .collect();
+        assert_eq!(shrunk.instructions, 2);
+        assert_eq!(left, ["mov eax, 0xd", "ret"]);
+        // Text items 110 and 118 are main's `mov eax, 0xd` case and its
+        // final `ret`, the last of each in the program.
+        assert_eq!(kept, [110, 118]);
+        assert_eq!(prog.asm.text_len(), 119);
+        assert_eq!(calls, 50);
+    }
 }

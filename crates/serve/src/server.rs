@@ -37,7 +37,7 @@
 use crate::json::{JsonWriter, Style::Compact};
 use crate::proto::{error_response, overloaded_response, parse_request, response, Op, Request};
 use hgl_analysis::{analyze, AnalysisConfig, Severity};
-use hgl_core::{ArtifactStore, LiftConfig, Lifter};
+use hgl_core::{panic_message, ArtifactStore, LiftConfig, Lifter};
 use hgl_elf::Binary;
 use hgl_export::{write_lift_json, write_lint_json};
 use hgl_solver::QueryCache;
@@ -662,7 +662,7 @@ impl Inner {
             |payload| {
                 self.counters.panics_isolated.fetch_add(1, Ordering::Relaxed);
                 let mut m = JsonWriter::members();
-                let msg = panic_text(payload);
+                let msg = panic_message(payload);
                 m.key("error").display(format_args!("request panicked (isolated): {msg}"));
                 ("internal", m.finish())
             },
@@ -772,16 +772,5 @@ fn send_line(writer: &Mutex<TcpStream>, mut line: String) {
     line.push('\n');
     if let Ok(mut w) = writer.lock() {
         let _ = w.write_all(line.as_bytes());
-    }
-}
-
-/// Renders a `catch_unwind` payload.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }

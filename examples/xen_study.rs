@@ -9,14 +9,14 @@
 //! For the full Table-1 reproduction use `cargo run --release --bin
 //! table1`.
 
-use hgl_corpus::xen::{build_study, run_study, study_config, Outcome, StudySpec};
+use hgl_corpus::xen::{build_study, run_study_parallel, study_config, Outcome, StudySpec};
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(7);
     let study = build_study(&StudySpec::mini(), seed);
     println!("Generated {} corpus units (seed {seed})\n", study.units.len());
 
-    let results = run_study(&study, &study_config());
+    let results = run_study_parallel(&study, &study_config(), 1);
     println!(
         "{:<12} {:<12} {:>10} {:>8} {:>8}  {:>4} {:>3} {:>3}  outcome",
         "directory", "unit", "expected", "instrs", "states", "A", "B", "C"

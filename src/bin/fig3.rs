@@ -10,13 +10,13 @@
 //! statistics the paper discusses (largest function, longest
 //! verification, Pearson correlation).
 
-use hgl_corpus::xen::{build_study, run_study, study_config, Outcome, StudySpec, UnitKind};
+use hgl_corpus::xen::{build_study, run_study_parallel, study_config, Outcome, StudySpec, UnitKind};
 // (fig3 runs sequentially: per-unit wall-clock times are the measurement)
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2022);
     let study = build_study(&StudySpec::table1(), seed);
-    let results = run_study(&study, &study_config());
+    let results = run_study_parallel(&study, &study_config(), 1);
 
     let mut series: Vec<(usize, u128)> = Vec::new();
     for (u, r) in study.units.iter().zip(&results) {
